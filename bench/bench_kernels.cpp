@@ -265,7 +265,7 @@ ConvResult bench_conv_pointwise(int reps) {
 // Section 3: observe() heap traffic before/after warm-up.
 
 struct AllocResult {
-  HeapSnapshot first_step;         // cold: pool fills, Adam state, caches
+  HeapSnapshot first_step;         // cold: pool fills, optimiser state, caches
   long long plain_max_allocs = 0;  // steady off-cycle steps (must be 0)
   long long plain_max_bytes = 0;
   long long plain_steps = 0;
@@ -336,7 +336,7 @@ AllocResult bench_observe_alloc() {
   }
 
   // Warm-up: saturates the latent cache, the LT store (and with it the
-  // staged-burst capacity), the Adam state and every scratch vector. Spans
+  // staged-burst capacity), the optimiser state and every scratch vector. Spans
   // several LT cycles and preference recalibrations.
   constexpr long long kWarmup = 120;
   while (step < kWarmup) learner.observe(make_batch(step++));

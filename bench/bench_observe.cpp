@@ -4,7 +4,7 @@
 // GEMM packing rework:
 //
 //   latency   p50 / p99 of observe() wall time in the steady state (latent
-//             cache warm, ST/LT full, Adam state allocated).
+//             cache warm, ST/LT full, optimiser state allocated).
 //
 //   alloc     Heap traffic via a counting global operator new, split into
 //             off-cycle steps (gate: ZERO allocations — the gather path
@@ -190,7 +190,7 @@ Report run(long long measure_steps) {
   rep.bwd_macs_after = static_cast<double>(learner.g_bwd_macs());
 
   // Warm-up: saturate the latent cache, ST slab, LT store, staged-burst
-  // capacity, Adam state and all row-pointer scratch; spans several LT
+  // capacity, optimiser state and all row-pointer scratch; spans several LT
   // cycles and preference recalibrations.
   constexpr long long kWarmup = 120;
   long long step = 0;

@@ -23,28 +23,16 @@
 //     planner's correctness contract measured end to end: coalescing is a
 //     pure throughput optimisation, invisible in the results.
 //
-// An int8 blob-precision ablation sub-run reports the bytes/accuracy trade:
-// smaller checkpoints, predictions compared against the fp32 run of the
-// same schedule. The blob_shrink ratio is dominated by a designed-in fp32
-// floor — head weights, BN statistics and the optimiser-resume state stay
-// fp32 (training must resume from exactly the values it left), so int8
-// applies only to the replay latents (ST/LT/staged stores). The JSON's
-// byte_breakdown field splits the blob so the ratio is interpretable:
-// non-head bytes shrink ~4x while the head floor stays put.
-//
 //   ./build/bench/bench_serve [--events N] [--sessions N] [--out PATH]
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/chameleon.h"
 #include "metrics/experiment.h"
-#include "nn/model_io.h"
 #include "serve/session_manager.h"
 #include "serve/session_store.h"
 
@@ -72,78 +60,6 @@ bool params_bit_identical(ChameleonLearner& a, ChameleonLearner& b) {
     }
   }
   return true;
-}
-
-// One small serve run at a given blob precision; returns per-session final
-// predictions (restored from the store) and the average full-blob size.
-struct AblationResult {
-  std::vector<std::vector<int64_t>> preds;
-  double avg_full_blob_bytes = 0;
-  double avg_delta_bytes = 0;
-  // Serialised size of the head alone (weights + BN statistics), the
-  // always-fp32 floor every blob carries regardless of blob_precision.
-  double head_bytes = 0;
-};
-
-AblationResult run_precision_ablation(
-    cham::metrics::Experiment& exp,
-    const std::vector<std::vector<cham::data::Batch>>& streams,
-    const std::vector<cham::data::SessionEvent>& schedule,
-    int64_t num_sessions, cham::quant::Precision precision,
-    const std::string& dir,
-    const std::vector<cham::data::ImageKey>& test_keys) {
-  cham::serve::ServeConfig sc;
-  sc.num_shards = 2;
-  sc.max_resident = 3;  // constant eviction pressure
-  sc.queue_capacity = 16;
-  sc.store_dir = dir;
-  sc.base_seed = 97;
-  sc.blob_precision = precision;
-  cham::serve::SessionStore(dir).clear();
-  auto factory = [&exp](uint64_t /*session_id*/, uint64_t seed) {
-    return std::make_unique<ChameleonLearner>(exp.env(), learner_config(),
-                                              seed);
-  };
-  cham::serve::SessionManager mgr(sc, factory);
-  for (const auto& ev : schedule) {
-    const auto& pool = streams[static_cast<size_t>(ev.session)];
-    const auto& batch =
-        pool[static_cast<size_t>(ev.batch_index) % pool.size()];
-    while (!mgr.submit_observe(static_cast<uint64_t>(ev.session), batch)
-                .accepted) {
-      mgr.drain();
-    }
-  }
-  mgr.drain();
-  mgr.flush();
-  const cham::serve::ServeStats st = mgr.stats();
-
-  AblationResult r;
-  if (st.wb_full_saves > 0) {
-    r.avg_full_blob_bytes = static_cast<double>(st.wb_full_bytes) /
-                            static_cast<double>(st.wb_full_saves);
-  }
-  const int64_t delta_saves = st.wb_chunk_saves + st.wb_oplog_saves;
-  if (delta_saves > 0) {
-    r.avg_delta_bytes = static_cast<double>(st.wb_delta_bytes) /
-                        static_cast<double>(delta_saves);
-  }
-  cham::serve::SessionStore reader(dir);
-  for (int64_t s = 0; s < num_sessions; ++s) {
-    ChameleonLearner restored(exp.env(), learner_config(), 0xAB1);
-    if (reader.load(static_cast<uint64_t>(s), restored)) {
-      if (r.head_bytes == 0) {
-        std::ostringstream head_os;
-        if (cham::nn::save_params(restored.head(), head_os)) {
-          r.head_bytes = static_cast<double>(head_os.str().size());
-        }
-      }
-      r.preds.push_back(restored.predict(test_keys));
-    } else {
-      r.preds.emplace_back();  // session got no traffic
-    }
-  }
-  return r;
 }
 
 // The full Zipf schedule through a SessionManager with the given config:
@@ -401,7 +317,7 @@ int main(int argc, char** argv) {
       st.evictions > 0 && best_evict_lock_ms < kEvictLockCeilingMs;
   // Steady state must write deltas, and small ones: avg delta <= 1/5 of
   // the avg full blob.
-  const int64_t delta_saves = st.wb_chunk_saves + st.wb_oplog_saves;
+  const int64_t delta_saves = st.wb_oplog_saves;
   const double avg_delta =
       delta_saves > 0 ? static_cast<double>(st.wb_delta_bytes) /
                             static_cast<double>(delta_saves)
@@ -419,8 +335,8 @@ int main(int argc, char** argv) {
       "%lld), replayed ops %lld\n"
       "  snapshot serialise avg %.3f ms, evict lock max %.3f ms, flush max "
       "%.3f ms\n"
-      "  flushes %lld: full %lld (avg %.0f B), chunk %lld, oplog %lld (avg "
-      "delta %.0f B)\n"
+      "  flushes %lld: full %lld (avg %.0f B), oplog %lld (avg delta %.0f "
+      "B)\n"
       "  batching: %lld merged windows, %lld predicts batched, max window "
       "%lld; retry hints avg %.1f ms / max %.1f ms over %lld rejections\n"
       "  gates: fidelity %s, batched_bit_exact %s, throughput(>=%.0f/s) %s, "
@@ -436,7 +352,6 @@ int main(int argc, char** argv) {
       st.evict_lock_ms_max, st.flush_ms_max,
       static_cast<long long>(st.wb_flushes),
       static_cast<long long>(st.wb_full_saves), avg_full,
-      static_cast<long long>(st.wb_chunk_saves),
       static_cast<long long>(st.wb_oplog_saves), avg_delta,
       static_cast<long long>(st.predict_batches),
       static_cast<long long>(st.batched_predicts),
@@ -446,61 +361,6 @@ int main(int argc, char** argv) {
       batched_bit_exact ? "PASS" : "FAIL", kThroughputFloor,
       throughput_ok ? "PASS" : "FAIL", kEvictLockCeilingMs,
       evict_lock_ok ? "PASS" : "FAIL", delta_ratio_ok ? "PASS" : "FAIL");
-
-  // --- int8 blob-precision ablation: same small schedule at fp32 and int8,
-  // compare checkpoint size and restored-prediction agreement. ---
-  const int64_t abl_sessions = std::min<int64_t>(12, sessions);
-  cham::data::MultiUserConfig amc;
-  amc.num_sessions = abl_sessions;
-  amc.events = 80;
-  amc.zipf_s = 1.1;
-  amc.seed = 29;
-  const auto abl_schedule = cham::data::make_zipf_schedule(amc);
-  const AblationResult fp32 = run_precision_ablation(
-      exp, streams, abl_schedule, abl_sessions,
-      cham::quant::Precision::kFp32, "/tmp/cham_bench_abl_fp32", test_keys);
-  const AblationResult int8 = run_precision_ablation(
-      exp, streams, abl_schedule, abl_sessions,
-      cham::quant::Precision::kInt8, "/tmp/cham_bench_abl_int8", test_keys);
-  int64_t agree = 0, total = 0;
-  for (int64_t s = 0; s < abl_sessions; ++s) {
-    const auto& pa = fp32.preds[static_cast<size_t>(s)];
-    const auto& pb = int8.preds[static_cast<size_t>(s)];
-    if (pa.size() != pb.size()) continue;
-    for (size_t i = 0; i < pa.size(); ++i) {
-      agree += pa[i] == pb[i];
-      ++total;
-    }
-  }
-  const double agreement =
-      total > 0 ? static_cast<double>(agree) / static_cast<double>(total)
-                : 0.0;
-  const double blob_shrink =
-      int8.avg_full_blob_bytes > 0
-          ? fp32.avg_full_blob_bytes / int8.avg_full_blob_bytes
-          : 0.0;
-  // Byte breakdown: the head (weights + BN stats + the state training must
-  // resume from exactly) is fp32 by design in BOTH runs — int8 encoding
-  // applies to the replay latents only. Splitting out that floor shows the
-  // encoder doing its job even when the whole-blob ratio looks flat.
-  const double non_head_fp32 =
-      std::max(0.0, fp32.avg_full_blob_bytes - fp32.head_bytes);
-  const double non_head_int8 =
-      std::max(0.0, int8.avg_full_blob_bytes - int8.head_bytes);
-  const double replay_shrink =
-      non_head_int8 > 0 ? non_head_fp32 / non_head_int8 : 0.0;
-  const double head_floor_fraction =
-      int8.avg_full_blob_bytes > 0
-          ? int8.head_bytes / int8.avg_full_blob_bytes
-          : 0.0;
-  std::printf(
-      "  int8 ablation: full blob %.0f B vs %.0f B fp32 (%.2fx), "
-      "prediction agreement %.4f\n"
-      "    breakdown: fp32 head floor %.0f B (%.0f%% of the int8 blob); "
-      "non-head %.0f B -> %.0f B (%.2fx)\n",
-      int8.avg_full_blob_bytes, fp32.avg_full_blob_bytes, blob_shrink,
-      agreement, fp32.head_bytes, 100.0 * head_floor_fraction, non_head_fp32,
-      non_head_int8, replay_shrink);
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (!json) {
@@ -532,20 +392,8 @@ int main(int argc, char** argv) {
                ops.g_bwd_macs, ops.onchip_bytes, ops.offchip_bytes);
   std::fprintf(json,
                "  \"avg_full_blob_bytes\": %.0f,\n"
-               "  \"avg_delta_bytes\": %.0f,\n"
-               "  \"ablation_int8\": {\"avg_full_blob_bytes_fp32\": %.0f, "
-               "\"avg_full_blob_bytes_int8\": %.0f, \"blob_shrink\": %.2f, "
-               "\"prediction_agreement\": %.4f, \"keys_compared\": %lld,\n"
-               "    \"byte_breakdown\": {\"head_fp32_bytes\": %.0f, "
-               "\"non_head_fp32_bytes\": %.0f, \"non_head_int8_bytes\": "
-               "%.0f, \"replay_shrink\": %.2f, \"head_floor_fraction\": "
-               "%.3f,\n     \"note\": \"head weights, BN stats and "
-               "optimiser-resume state stay fp32 by design; int8 encodes "
-               "the replay latents only\"}},\n",
-               avg_full, avg_delta, fp32.avg_full_blob_bytes,
-               int8.avg_full_blob_bytes, blob_shrink, agreement,
-               static_cast<long long>(total), fp32.head_bytes, non_head_fp32,
-               non_head_int8, replay_shrink, head_floor_fraction);
+               "  \"avg_delta_bytes\": %.0f,\n",
+               avg_full, avg_delta);
   std::fprintf(json,
                "  \"fidelity_sessions_checked\": %lld,\n"
                "  \"gate_fidelity_exact\": %s,\n"

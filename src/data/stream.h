@@ -103,8 +103,8 @@ struct MultiUserConfig {
   int64_t events = 2000;  // total submissions across all sessions
   double zipf_s = 1.1;    // Zipf exponent over session rank; 0 = uniform
   // Fraction of events that are predicts instead of observes (drawn i.i.d.
-  // per event). Predict-heavy traffic is the regime where chunk-diff delta
-  // checkpoints win: predicts mutate only the traffic ledger.
+  // per event). Predicts mutate only the traffic ledger; an eviction after
+  // them logs each as one entry of an op-log delta checkpoint.
   double predict_fraction = 0.0;
   uint64_t seed = 7;
 };

@@ -90,7 +90,7 @@ struct EncodedTensor {
 };
 
 // Encodes/decodes a tensor at the given precision. Round-tripping through
-// kFp32 is lossless; the other formats introduce their characteristic
+// kFp32 is exact; the other formats introduce their characteristic
 // quantisation error.
 EncodedTensor encode(const Tensor& t, Precision p);
 Tensor decode(const EncodedTensor& e);

@@ -71,7 +71,6 @@ struct ServeStats {
   int64_t wb_flushes = 0;
   int64_t wb_flush_errors = 0;
   int64_t wb_full_saves = 0;
-  int64_t wb_chunk_saves = 0;
   int64_t wb_oplog_saves = 0;
   int64_t wb_full_bytes = 0;
   int64_t wb_delta_bytes = 0;
@@ -144,7 +143,8 @@ struct ServeStats {
     j.field("wb_flushes", wb_flushes);
     j.field("wb_flush_errors", wb_flush_errors);
     j.field("wb_full_saves", wb_full_saves);
-    j.field("wb_chunk_saves", wb_chunk_saves);
+    // Retired frame kind; the key stays (always 0) for existing readers.
+    j.field("wb_chunk_saves", int64_t{0});
     j.field("wb_oplog_saves", wb_oplog_saves);
     j.field("wb_full_bytes", wb_full_bytes);
     j.field("wb_delta_bytes", wb_delta_bytes);

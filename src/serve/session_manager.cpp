@@ -41,14 +41,10 @@ SessionManager::SessionManager(ServeConfig cfg, LearnerFactory factory)
   WriteBehindConfig wb;
   wb.enabled = cfg_.write_behind;
   wb.delta = cfg_.delta_checkpoints;
-  wb.chunk_bytes = cfg_.delta_chunk_bytes;
   wb.compact_ratio = cfg_.delta_compact_ratio;
   wb.compact_every = cfg_.delta_compact_every;
   wb.max_replay_ops = cfg_.max_replay_ops;
   wb.snapshot_cache_bytes = cfg_.snapshot_cache_bytes;
-  // Op-log replay is verified against a hash of the exact target blob;
-  // that only holds when blobs round-trip losslessly.
-  wb.lossless = cfg_.blob_precision == quant::Precision::kFp32;
   write_behind_ = std::make_unique<WriteBehind>(store_, wb);
   shards_.reserve(static_cast<size_t>(cfg_.num_shards));
   for (int64_t i = 0; i < cfg_.num_shards; ++i) {
@@ -513,13 +509,13 @@ void SessionManager::finish_dispatch(Request& r,
   session_op_stats_[r.session_id] = learner->stats();
   if (!ok) {
     // The op may have mutated state without completing; an op-log replay
-    // would diverge. Force the next snapshot to chunk/full form.
+    // would diverge. Force the next snapshot to a full blob.
     session.ops_valid = false;
     session.ops.clear();
   } else if (session.ops_valid) {
     if (static_cast<int64_t>(session.ops.size()) >= cfg_.max_replay_ops) {
       // Bounded log: past the replay cap an op-log delta would never be
-      // encoded anyway; stop accumulating (chunk/full still available).
+      // encoded anyway; stop accumulating (the next flush writes full).
       session.ops_valid = false;
       session.ops.clear();
     } else {
@@ -655,7 +651,8 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
       core::read_delta_header(delta.data(), delta.size(), h) &&
       h.kind == core::DeltaKind::kOpLog;
   if (!oplog_delta) {
-    // Full blob, possibly with a chunk delta (applied inside the store).
+    // Full blob alone, or with a stale delta the store skips. A live
+    // delta of any other kind makes the load fail: never serve old state.
     const bool ok = store_.load(session_id, *fresh);
     CHAM_CHECK(ok, "SessionManager: corrupt session blob for id " +
                        std::to_string(session_id));
@@ -691,7 +688,7 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
       core::ByteBuf replayed_blob;
       {
         core::ByteBufWriter os(replayed_blob);
-        const bool saved = fresh->save_state(os, cfg_.blob_precision);
+        const bool saved = fresh->save_state(os);
         CHAM_CHECK(saved, "SessionManager: reserialize after replay failed");
       }
       CHAM_CHECK(
@@ -753,7 +750,7 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim,
   auto blob = std::make_shared<core::ByteBuf>();
   {
     core::ByteBufWriter os(*blob);
-    const bool ok = victim.learner->save_state(os, cfg_.blob_precision);
+    const bool ok = victim.learner->save_state(os);
     CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
                        std::to_string(victim.session_id));
   }
@@ -813,7 +810,6 @@ ServeStats SessionManager::stats() const {
   snapshot.wb_flushes = wb.flushes;
   snapshot.wb_flush_errors = wb.flush_errors;
   snapshot.wb_full_saves = wb.full_saves;
-  snapshot.wb_chunk_saves = wb.chunk_saves;
   snapshot.wb_oplog_saves = wb.oplog_saves;
   snapshot.wb_full_bytes = wb.full_bytes;
   snapshot.wb_delta_bytes = wb.delta_bytes;

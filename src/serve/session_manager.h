@@ -62,7 +62,6 @@
 
 #include "core/chameleon.h"
 #include "data/stream.h"
-#include "quant/quantize.h"
 #include "serve/batch_planner.h"
 #include "serve/serve_stats.h"
 #include "serve/session_store.h"
@@ -104,16 +103,10 @@ struct ServeConfig {
   // delta_checkpoints=false writes every flush as a full blob.
   bool write_behind = true;
   bool delta_checkpoints = true;
-  int64_t delta_chunk_bytes = 256;
   double delta_compact_ratio = 0.5;
   int64_t delta_compact_every = 8;
   int64_t max_replay_ops = 64;
   int64_t snapshot_cache_bytes = int64_t{128} << 20;
-  // Storage precision of ST/LT latents inside checkpoint blobs. kFp32 is
-  // the lossless default (bit-identical restore); reduced precisions trade
-  // restore exactness for smaller blobs and disable op-log deltas (replay
-  // over a lossy base cannot be hash-verified).
-  quant::Precision blob_precision = quant::Precision::kFp32;
 };
 
 struct Admission {

@@ -6,16 +6,16 @@
 // preference statistics, staged LT burst, RNG state, step counter, traffic
 // ledger). In the paper's memory-hierarchy terms the resident pool is the
 // on-chip tier and this store the off-chip tier: capacity is cheap, access
-// costs a serialisation round-trip, and the round-trip must be lossless —
-// a restored session continues bit-identically (tests/test_serve.cpp gates
+// costs a serialisation round-trip, and the round-trip must be exact — a
+// restored session continues bit-identically (tests/test_serve.cpp gates
 // this).
 //
 // On-disk layout per session:
 //   session_<id>.chk     the last FULL blob (CHS2)
-//   session_<id>.delta   optional CHS3 delta against that blob — at most
-//                        one; each delta write replaces the previous, and
-//                        a full write removes it. The pair (.chk, .delta)
-//                        is the session's newest state.
+//   session_<id>.delta   optional CHS3 op-log delta against that blob — at
+//                        most one; each delta write replaces the previous,
+//                        and a full write removes it. The pair (.chk,
+//                        .delta) is the session's newest state.
 //
 // Durability: every write goes through write+fsync to a temp name, then
 // rename, then a best-effort directory fsync. Write errors (disk full,
@@ -38,7 +38,6 @@
 
 #include "core/chameleon.h"
 #include "core/checkpoint.h"
-#include "quant/quantize.h"
 #include "util/sync.h"
 
 namespace cham::serve {
@@ -75,17 +74,16 @@ class SessionStore {
   // Serialises the learner's full state (in memory, then one durable
   // write). False on serialisation or I/O failure; never clobbers the
   // previous blob on failure.
-  bool save(uint64_t session_id, const core::ChameleonLearner& learner,
-            quant::Precision precision = quant::Precision::kFp32)
+  bool save(uint64_t session_id, const core::ChameleonLearner& learner)
       CHAM_EXCLUDES(mu_);
 
   // Restores the session's newest state into a learner constructed with
-  // the same config and environment. Applies a chunk delta if one is
-  // present; ignores a stale delta (base hash mismatch — see the
-  // crash-consistency note above). Returns false if absent or malformed,
-  // and also if the newest state is behind an op-log delta: replaying ops
-  // needs the SessionManager (it owns dispatch), so plain readers must
-  // only be pointed at compacted stores (SessionManager::flush compacts).
+  // the same config and environment. Ignores a stale delta (base hash
+  // mismatch — see the crash-consistency note above). Returns false if
+  // absent or malformed, and also if the newest state is behind a live
+  // delta: replaying its ops needs the SessionManager (it owns dispatch),
+  // so plain readers must only be pointed at compacted stores
+  // (SessionManager::flush compacts).
   bool load(uint64_t session_id, core::ChameleonLearner& learner)
       CHAM_EXCLUDES(mu_);
 

@@ -23,7 +23,6 @@ int64_t blob_bytes(const std::shared_ptr<const core::ByteBuf>& b) {
 
 WriteBehind::WriteBehind(SessionStore& store, WriteBehindConfig cfg)
     : store_(store), cfg_(cfg) {
-  CHAM_CHECK(cfg_.chunk_bytes > 0, "WriteBehind: chunk_bytes must be > 0");
   CHAM_CHECK(cfg_.compact_every > 0,
              "WriteBehind: compact_every must be > 0");
   CHAM_CHECK(cfg_.compact_ratio > 0.0 && cfg_.compact_ratio <= 1.0,
@@ -147,7 +146,6 @@ void WriteBehind::flush_one(Snapshot snap) {
   const core::ByteBuf& blob = *snap.blob;
 
   // Copy what the encoder needs out of the session's meta.
-  std::shared_ptr<const core::ByteBuf> base;
   uint64_t base_hash = 0, base_len = 0;
   bool has_base = false;
   int64_t deltas = 0;
@@ -157,70 +155,44 @@ void WriteBehind::flush_one(Snapshot snap) {
     util::MutexLock lock(mu_);
     if (auto it = meta_.find(id); it != meta_.end()) {
       const Meta& m = it->second;
-      base = m.base;
       base_hash = m.base_hash;
       base_len = m.base_len;
       has_base = m.has_base;
       deltas = m.deltas_since_full;
-      ops_ok = cfg_.lossless && m.ops_valid && snap.ops_valid;
+      ops_ok = m.ops_valid && snap.ops_valid;
       if (ops_ok) {
         ops = m.ops_since_base;  // spans base -> last flushed
         ops.insert(ops.end(), std::make_move_iterator(snap.ops.begin()),
                    std::make_move_iterator(snap.ops.end()));
       }
     } else {
-      ops_ok = cfg_.lossless && snap.ops_valid;
+      ops_ok = snap.ops_valid;
       if (ops_ok) ops = std::move(snap.ops);
     }
   }
 
-  // Pick the encoding: smallest of {chunk diff, op log} if a delta is
-  // allowed and beats the compaction ratio, else a full blob.
-  enum class Form { kFull, kChunk, kOpLog };
-  Form form = Form::kFull;
+  // Pick the encoding: an op-log delta if one is allowed and beats the
+  // compaction ratio, else a full blob. Either way the blob's hash is
+  // needed (delta header, or the next delta's base), so compute it once.
+  const uint64_t next_hash = core::blob_hash(blob.data(), blob.size());
   core::ByteBuf frame;
-  uint64_t next_hash = 0;  // hash of `blob`, computed at most once
-  bool have_next_hash = false;
+  bool as_delta = false;
   if (cfg_.delta && !snap.force_full && has_base &&
-      deltas < cfg_.compact_every) {
-    next_hash = core::blob_hash(blob.data(), blob.size());
-    have_next_hash = true;
-    core::ByteBuf chunk_frame;
-    if (base) {  // base bytes may have been dropped under cache pressure
-      // base_hash/base_len in meta are blob_hash() of exactly these base
-      // bytes (both are set together on every full save), so the encode
-      // does not need to rehash either blob.
-      chunk_frame = core::encode_chunk_delta(base->data(), base->size(),
-                                             blob.data(), blob.size(),
-                                             cfg_.chunk_bytes, base_hash,
-                                             next_hash);
-    }
-    core::ByteBuf oplog_frame;
-    if (ops_ok && static_cast<int64_t>(ops.size()) <= cfg_.max_replay_ops) {
-      core::DeltaHeader h;
-      h.base_hash = base_hash;
-      h.base_len = base_len;
-      h.next_hash = next_hash;
-      h.next_len = blob.size();
-      oplog_frame = core::encode_op_log(h, ops);
-    }
-    const auto cap = static_cast<std::size_t>(
-        cfg_.compact_ratio * static_cast<double>(blob.size()));
-    const bool chunk_fits = !chunk_frame.empty() && chunk_frame.size() <= cap;
-    const bool oplog_fits = !oplog_frame.empty() && oplog_frame.size() <= cap;
-    if (oplog_fits && (!chunk_fits || oplog_frame.size() <= chunk_frame.size())) {
-      form = Form::kOpLog;
-      frame = std::move(oplog_frame);
-    } else if (chunk_fits) {
-      form = Form::kChunk;
-      frame = std::move(chunk_frame);
-    }
+      deltas < cfg_.compact_every && ops_ok &&
+      static_cast<int64_t>(ops.size()) <= cfg_.max_replay_ops) {
+    core::DeltaHeader h;
+    h.base_hash = base_hash;
+    h.base_len = base_len;
+    h.next_hash = next_hash;
+    h.next_len = blob.size();
+    frame = core::encode_op_log(h, ops);
+    as_delta = static_cast<double>(frame.size()) <=
+               cfg_.compact_ratio * static_cast<double>(blob.size());
   }
 
   const bool disk_ok =
-      form == Form::kFull
-          ? store_.put_full(id, blob.data(), blob.size())
-          : store_.put_delta(id, frame.data(), frame.size());
+      as_delta ? store_.put_delta(id, frame.data(), frame.size())
+               : store_.put_full(id, blob.data(), blob.size());
 
   const double flush_ms = ms_since(t0);
   {
@@ -233,11 +205,8 @@ void WriteBehind::flush_one(Snapshot snap) {
       ++stats_.flushes;
       stats_.flush_ms_total += flush_ms;
       stats_.flush_ms_max = std::max(stats_.flush_ms_max, flush_ms);
-      if (form == Form::kFull) {
-        m.base = snap.blob;
-        m.base_hash = have_next_hash
-                          ? next_hash
-                          : core::blob_hash(blob.data(), blob.size());
+      if (!as_delta) {
+        m.base_hash = next_hash;
         m.base_len = blob.size();
         m.has_base = true;
         m.deltas_since_full = 0;
@@ -247,11 +216,8 @@ void WriteBehind::flush_one(Snapshot snap) {
         stats_.full_bytes += static_cast<int64_t>(blob.size());
       } else {
         ++m.deltas_since_full;
-        m.ops_valid = ops_ok;
-        m.ops_since_base = ops_ok ? std::move(ops)
-                                  : std::vector<data::ServeOp>{};
-        if (form == Form::kChunk) ++stats_.chunk_saves;
-        if (form == Form::kOpLog) ++stats_.oplog_saves;
+        m.ops_since_base = std::move(ops);  // as_delta implies ops_ok
+        ++stats_.oplog_saves;
         stats_.delta_bytes += static_cast<int64_t>(frame.size());
       }
     } else {
@@ -273,7 +239,6 @@ int64_t WriteBehind::cached_bytes_locked() const {
   for (const auto& [id, m] : meta_) {
     (void)id;
     bytes += blob_bytes(m.latest);
-    if (m.base && m.base != m.latest) bytes += blob_bytes(m.base);
   }
   return bytes;
 }
@@ -287,21 +252,13 @@ void WriteBehind::enforce_cache_budget_locked() {
   std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
   order.reserve(meta_.size());
   for (const auto& [id, m] : meta_) {
-    if (m.latest || m.base) order.emplace_back(m.lru_tick, id);
+    if (m.latest) order.emplace_back(m.lru_tick, id);
   }
   std::sort(order.begin(), order.end());
   for (const auto& [tick, id] : order) {
     (void)tick;
     if (bytes <= cfg_.snapshot_cache_bytes) return;
     Meta& m = meta_[id];
-    // Cheapest first: drop the separate base copy. Chunk diffs stop for
-    // this session until its next full flush; op logs only need the hash.
-    if (m.base && m.base != m.latest) {
-      bytes -= blob_bytes(m.base);
-      m.base.reset();
-    }
-    if (bytes <= cfg_.snapshot_cache_bytes) return;
-    if (!m.latest) continue;
     const bool pinned = !m.durable || m.deltas_since_full > 0;
     if (pinned) {
       // The latest blob is the only complete copy of state that is newer
@@ -315,7 +272,6 @@ void WriteBehind::enforce_cache_budget_locked() {
       ++stats_.flushes;
       ++stats_.full_saves;
       stats_.full_bytes += blob_bytes(m.latest);
-      m.base.reset();  // hash survives; the bytes go with `latest` below
       m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
       m.base_len = m.latest->size();
       m.has_base = true;
@@ -325,7 +281,6 @@ void WriteBehind::enforce_cache_budget_locked() {
       m.durable = true;
     }
     bytes -= blob_bytes(m.latest);
-    if (m.base == m.latest) m.base.reset();
     m.latest.reset();
   }
 }
@@ -347,7 +302,6 @@ void WriteBehind::compact_all() {
     ++stats_.flushes;
     ++stats_.full_saves;
     stats_.full_bytes += blob_bytes(m.latest);
-    m.base = m.latest;
     m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
     m.base_len = m.latest->size();
     m.has_base = true;

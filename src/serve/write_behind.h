@@ -1,4 +1,4 @@
-// Write-behind, delta-compressed checkpoint flushing for session eviction.
+// Write-behind, op-log-delta checkpoint flushing for session eviction.
 //
 // Eviction used to serialise the full CHS2 blob to disk while holding the
 // manager's global sessions_mu_, so one shard's eviction stalled admission,
@@ -13,19 +13,15 @@
 //      thread owns all disk traffic; snapshots for the same session
 //      coalesce in the pending map (only the newest state matters).
 //   3. FLUSH (IO thread): the blob is written to the SessionStore as
-//      either a full blob or a CHS3 delta against the session's last full
-//      blob — whichever is smaller:
-//        * chunk diff  — dirty chunks of the new blob vs the base. Wins
-//          when little changed (predict-only / idle evictions).
-//        * op log      — the observe/predict requests served since the
-//          base was flushed. A restore replays them; the repo's
-//          bit-determinism contract makes the result byte-identical, and
-//          the frame's hash of the target blob verifies it. Wins after
-//          training steps, where one SGD step dirties ~85% of the head
-//          chunks (~94% of the blob), making chunk diffs useless.
-//      Every `compact_every` deltas (or when a delta would exceed
-//      `compact_ratio` of the full size) the blob is written full —
-//      compaction that bounds both restore amplification and disk state.
+//      either a full blob or a CHS3 op-log delta against the session's
+//      last full blob: the observe/predict requests served since the base
+//      was flushed. A restore replays them; the repo's bit-determinism
+//      contract makes the result byte-identical, and the frame's hash of
+//      the target blob verifies it. Only the base's hash and length are
+//      kept, never its bytes. Every `compact_every` deltas (or when a
+//      delta would exceed `compact_ratio` of the full size, or the log
+//      outgrew `max_replay_ops`) the blob is written full — compaction
+//      that bounds both restore amplification and disk state.
 //
 // RESTORE CORRECTNESS: newest_blob() returns the most recent state the
 // pipeline holds for a session — the pending (not yet flushed) snapshot,
@@ -64,26 +60,21 @@ namespace cham::serve {
 struct WriteBehindConfig {
   bool enabled = true;   // false: flush synchronously inside submit()
   bool delta = true;     // false: every flush writes a full blob
-  int64_t chunk_bytes = 256;      // chunk-diff granularity
   double compact_ratio = 0.5;     // delta bigger than this fraction of the
                                   // full blob -> write full instead
   int64_t compact_every = 8;      // force a full blob after this many deltas
   int64_t max_replay_ops = 64;    // op-log deltas longer than this are not
                                   // encoded (bounds restore replay cost)
   int64_t snapshot_cache_bytes = int64_t{128} << 20;
-  // Op-log restore is exact only when blobs are lossless (fp32); the
-  // manager clears this when a reduced blob precision is configured.
-  bool lossless = true;
 };
 
 struct WriteBehindStats {
   int64_t flushes = 0;        // snapshots written to disk (any form)
   int64_t flush_errors = 0;   // disk writes that failed (state kept in RAM)
   int64_t full_saves = 0;
-  int64_t chunk_saves = 0;
   int64_t oplog_saves = 0;
   int64_t full_bytes = 0;     // disk bytes written as full blobs
-  int64_t delta_bytes = 0;    // disk bytes written as deltas (both kinds)
+  int64_t delta_bytes = 0;    // disk bytes written as op-log deltas
   int64_t compactions = 0;    // cache-pressure compactions (pin drops)
   int64_t queue_depth_high_water = 0;
   int64_t cache_bytes_high_water = 0;
@@ -141,10 +132,8 @@ class WriteBehind {
 
  private:
   struct Meta {
-    // Last blob flushed as a FULL blob (the delta base). The bytes may be
-    // dropped under cache pressure (chunk diffs then stop; op logs only
-    // need the hash), but hash/len survive.
-    std::shared_ptr<const core::ByteBuf> base;
+    // Hash and length of the last blob flushed as a FULL blob (the delta
+    // base); op logs need nothing else of it.
     uint64_t base_hash = 0;
     uint64_t base_len = 0;
     bool has_base = false;

@@ -1,5 +1,5 @@
-// Extension subsystems: Class-IL stream, DRAM timing model, task-free
-// shift detector, CSV writer.
+// Extension subsystems: Class-IL stream, task-free shift detector, CSV
+// writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 
 #include "core/shift_detector.h"
 #include "data/stream.h"
-#include "hw/dram.h"
 #include "metrics/csv.h"
 #include "tensor/rng.h"
 
@@ -69,46 +68,6 @@ TEST(ClassIncrementalStream, UnevenLastTask) {
   data::ClassIncrementalStream stream(dc, cc);
   EXPECT_EQ(stream.num_tasks(), 3);
   EXPECT_EQ(stream.task_classes(2).size(), 2u);
-}
-
-// ----------------------------------------------------------------- DRAM
-
-TEST(Dram, StreamingBeatsRandomAccess) {
-  hw::DramTiming t;
-  // 160 sub-row latents (2 KiB) fetched randomly vs one 320 KiB stream:
-  // random access pays activate/precharge per object.
-  const int64_t total = 320 * 1024;
-  const auto stream = hw::stream_access(t, total);
-  const auto random = hw::random_access(t, 160, 2048);
-  EXPECT_LT(stream.time_ns, random.time_ns);
-  EXPECT_LE(stream.energy_pj, random.energy_pj);
-  EXPECT_LT(stream.activates, random.activates + 1);
-}
-
-TEST(Dram, SmallRandomObjectsCollapseBandwidth) {
-  hw::DramTiming t;
-  // 2 KiB objects (our latents) fetched randomly vs streamed.
-  const auto random = hw::random_access(t, 100, 2048);
-  const auto stream = hw::stream_access(t, 100 * 2048);
-  const double bw_random = hw::effective_bandwidth(random, 100 * 2048);
-  const double bw_stream = hw::effective_bandwidth(stream, 100 * 2048);
-  EXPECT_LT(bw_random, bw_stream);
-  // Both patterns must deliver sane LPDDR4-class numbers (0.1-10 GB/s).
-  EXPECT_GT(bw_random, 1e8);
-  EXPECT_LT(bw_stream, 1e10);
-}
-
-TEST(Dram, ZeroBytesFree) {
-  hw::DramTiming t;
-  EXPECT_EQ(hw::stream_access(t, 0).time_ns, 0);
-  EXPECT_EQ(hw::random_access(t, 0, 100).energy_pj, 0);
-}
-
-TEST(Dram, ActivatesTrackRows) {
-  hw::DramTiming t;
-  t.row_bytes = 1024;
-  const auto c = hw::stream_access(t, 4096);
-  EXPECT_EQ(c.activates, 4);
 }
 
 // -------------------------------------------------------- shift detector

@@ -203,6 +203,8 @@ TEST(NetJson, ServeStatsEmitsParseableObject) {
                           "wb_flushes", "flush_ms_max"}) {
     EXPECT_TRUE(fields.count(key)) << key;
   }
+  // Retired frame kind: the key stays for existing readers, always 0.
+  EXPECT_EQ(fields["wb_chunk_saves"], "0");
 }
 
 // ---------------------------------------------------------------------------

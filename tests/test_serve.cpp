@@ -673,8 +673,8 @@ TEST_F(ServeSuite, ShutdownWithConcurrentDrainsDoesNotHang) {
 }
 
 // Tentpole: steady-state eviction writes shrink by >5x once a session's
-// base blob is on disk — each re-eviction after a single observe writes a
-// delta (op log or chunk diff), not the 2MB full blob.
+// base blob is on disk — each re-eviction after a single observe writes an
+// op-log delta, not the 2MB full blob.
 TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   constexpr int kRounds = 6;
   serve::ServeConfig sc;
@@ -700,7 +700,7 @@ TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   mgr.write_behind().drain();  // settle flushes WITHOUT forcing compaction
 
   const serve::ServeStats st = mgr.stats();
-  const int64_t delta_saves = st.wb_chunk_saves + st.wb_oplog_saves;
+  const int64_t delta_saves = st.wb_oplog_saves;
   ASSERT_GT(delta_saves, 0) << "steady state must produce delta writes";
   ASSERT_GT(st.wb_full_saves, 0);
   const double avg_delta =
@@ -811,18 +811,21 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
     core::ByteBufWriter os(blob_b);
     ASSERT_TRUE(learner.save_state(os));
   }
-  const core::ByteBuf delta_ab = core::encode_chunk_delta(
-      blob_a.data(), blob_a.size(), blob_b.data(), blob_b.size(), 256);
+  std::vector<data::ServeOp> ops(1);
+  ops[0].batch = batches[1];
+  core::DeltaHeader h;
+  h.base_hash = core::blob_hash(blob_a.data(), blob_a.size());
+  h.base_len = blob_a.size();
+  h.next_hash = core::blob_hash(blob_b.data(), blob_b.size());
+  h.next_len = blob_b.size();
+  const core::ByteBuf delta_ab = core::encode_op_log(h, ops);
 
-  // Live pair: base A + delta A->B loads as B.
+  // Live pair: base A + op log A->B. The newest state (B) needs replay
+  // through a SessionManager, so a plain reader refuses rather than serve A.
   ASSERT_TRUE(store.put_full(1, blob_a.data(), blob_a.size()));
   ASSERT_TRUE(store.put_delta(1, delta_ab.data(), delta_ab.size()));
   core::ChameleonLearner as_b(exp_->env(), learner_config(), 0x11);
-  ASSERT_TRUE(store.load(1, as_b));
-  core::ChameleonLearner want_b(exp_->env(), learner_config(), 27);
-  want_b.observe(batches[0]);
-  want_b.observe(batches[1]);
-  expect_bit_identical(as_b, want_b, "chunk delta applied from store");
+  EXPECT_FALSE(store.load(1, as_b)) << "live op-log delta must not be skipped";
 
   // Advance the base past the delta (a put_full removes it), then
   // re-install the stale delta as a crash between rename and unlink would.
@@ -839,6 +842,60 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
   core::ChameleonLearner as_c(exp_->env(), learner_config(), 0x22);
   ASSERT_TRUE(store.load(1, as_c));
   expect_bit_identical(as_c, learner, "stale delta ignored, base served");
+  store.clear();
+}
+
+// A kind-0 CHS3 frame (the retired dirty-chunk diff, no longer written or
+// applied), built byte by byte: header, then an empty chunk body.
+core::ByteBuf legacy_chunk_frame(uint64_t base_hash, uint64_t base_len) {
+  core::ByteBuf f;
+  auto put = [&f](const auto& v) {
+    const char* p = reinterpret_cast<const char*>(&v);
+    f.insert(f.end(), p, p + sizeof(v));
+  };
+  put(uint32_t{0x43485333});  // "CHS3"
+  put(uint32_t{1});           // frame version
+  put(uint8_t{0});            // kind 0: chunk diff
+  put(base_hash);
+  put(base_len);
+  put(base_hash);             // next == base: an unchanged-blob frame
+  put(base_len);
+  put(uint32_t{256});         // chunk bytes
+  put(uint32_t{0});           // dirty chunk count
+  return f;
+}
+
+// Stores written before the chunk diff was retired may still hold such a
+// frame. A stale one reads like any stale delta (the base is served); a
+// live or truncated one makes load() fail — it must never silently serve
+// older state.
+TEST_F(ServeSuite, LegacyChunkFrameIsNeverApplied) {
+  serve::SessionStore store("/tmp/cham_serve_legacy");
+  store.clear();
+  core::ChameleonLearner learner(exp_->env(), learner_config(), 31);
+  learner.observe(session_batches(8)[0]);
+  core::ByteBuf blob;
+  {
+    core::ByteBufWriter os(blob);
+    ASSERT_TRUE(learner.save_state(os));
+  }
+  const uint64_t hash = core::blob_hash(blob.data(), blob.size());
+  ASSERT_TRUE(store.put_full(1, blob.data(), blob.size()));
+
+  const core::ByteBuf stale = legacy_chunk_frame(hash ^ 1, blob.size());
+  ASSERT_TRUE(store.put_delta(1, stale.data(), stale.size()));
+  core::ChameleonLearner from_stale(exp_->env(), learner_config(), 0x33);
+  ASSERT_TRUE(store.load(1, from_stale));
+  expect_bit_identical(from_stale, learner, "stale legacy frame, base served");
+
+  const core::ByteBuf live = legacy_chunk_frame(hash, blob.size());
+  ASSERT_TRUE(store.put_delta(1, live.data(), live.size()));
+  core::ChameleonLearner from_live(exp_->env(), learner_config(), 0x44);
+  EXPECT_FALSE(store.load(1, from_live));
+
+  // A header cut short is unparseable: refused too, never guessed at.
+  ASSERT_TRUE(store.put_delta(1, live.data(), 12));
+  EXPECT_FALSE(store.load(1, from_live));
   store.clear();
 }
 

@@ -210,8 +210,7 @@ SERIALIZE_RE = re.compile(
     r"(?:\.|->)\s*(?:save_state|load_state|save|load)\s*\("
     r"|(?<![_A-Za-z0-9])(?:save|load)_checkpoint\s*\("
     r"|(?:\.|->)\s*(?:put_full|put_delta|get_blob|get_delta)\s*\("
-    r"|(?<![_A-Za-z0-9])(?:encode_chunk_delta|apply_chunk_delta|"
-    r"encode_op_log|read_op_log)\s*\("
+    r"|(?<![_A-Za-z0-9])(?:encode_op_log|read_op_log)\s*\("
 )
 # Raw std synchronisation primitives (with or without the std:: prefix —
 # `using std::mutex` would otherwise dodge the rule). The annotated wrappers
