@@ -68,7 +68,7 @@ bool params_bit_identical(ChameleonLearner& a, ChameleonLearner& b) {
 // set as two back-to-back requests (halves of the key list) — the realistic
 // paged-read shape, and a per-session run the planner can merge into one
 // eval window (row independence makes the concatenation bit-identical to a
-// single request; see core::HeadLearner::eval_batch). Returns one
+// single request; see core::HeadLearner::predict_batch). Returns one
 // prediction vector per predict event, in schedule order — the payload the
 // batched-vs-unbatched bit-exactness gate compares.
 std::vector<std::vector<int64_t>> run_predict_schedule(

@@ -35,13 +35,13 @@ void ChameleonLearner::observe(const data::Batch& batch) {
   // [line 3] running per-class statistics.
   for (int64_t label : batch.labels) prefs_.update(label);
 
-  // [line 4] latent extraction for the incoming batch. The cache hands out
-  // stable references; the training gather reads the rows in place.
+  // [line 4] latent extraction: one cache call, all misses in one backbone
+  // forward. Rows of fresh (off-pool) frames live in `fresh`, which outlives
+  // the train step and ST update below that read them in place.
   std::vector<const float*>& train_rows = train_rows_scratch_;
   train_rows.clear();
-  for (const auto& key : batch.keys) {
-    train_rows.push_back(env_.latents->latent(key).data());
-  }
+  Tensor fresh;
+  env_.latents->resolve(batch.keys, train_rows, fresh);
   charge_f(bsz);
 
   // [lines 5-7] training set: every update "sweeps through the complete

@@ -41,24 +41,18 @@ class HeadLearner : public ContinualLearner {
     return predict_batch(std::span<const data::ImageKey>(keys));
   }
 
-  // One eval-mode forward of the head over an already-stacked latent batch
-  // (NxCxHxW), returning the NxK logits. State- and stats-pure: eval mode
-  // touches no weights, BN running stats are frozen, and no MACs are
-  // charged (the serve path logs predicts as replayable no-ops). Every
-  // layer treats batch rows independently in eval mode, so ANY regrouping
-  // of rows across eval_batch calls — merging several requests, splitting
-  // one — yields bit-identical logits per row. That row-independence is
-  // the correctness basis of the serve-path batch planner.
-  Tensor eval_batch(const Tensor& latent_batch) {
-    return g_->forward(latent_batch, /*train=*/false);
-  }
-
-  // Argmax predictions for `keys`, evaluated in gathered chunks: the
-  // first head layer packs its GEMM panels straight from the cached latent
-  // rows (LatentCache hands out stable references), so no stacked copy of
-  // the chunk is ever materialised. Bit-identical to stacking + eval_batch
-  // — the gather kernels pack the same panels from the same values (see
-  // tensor/gemm.h) — and bit-identical to a per-key loop (see eval_batch).
+  // Argmax predictions for `keys`, evaluated in gathered chunks: each
+  // chunk's latents are resolved in one cache call, and the first head
+  // layer packs its GEMM panels straight from those rows, so no stacked
+  // copy of the chunk is ever materialised (the gather kernels pack the
+  // same panels from the same values as a stacked eval forward; see
+  // tensor/gemm.h). State- and stats-pure: eval mode touches no weights,
+  // BN running stats are frozen, and no MACs are charged (the serve path
+  // logs predicts as replayable no-ops). Every layer treats batch rows
+  // independently in eval mode, so ANY regrouping of keys across calls —
+  // merging several requests, splitting one — yields bit-identical
+  // predictions per key: the correctness basis of the serve-path batch
+  // planner.
   // Virtual because this is the single funnel every predict path (plain
   // predict(), serve batch plans) flows through — fault-injecting
   // subclasses override here to intercept both.
@@ -70,13 +64,13 @@ class HeadLearner : public ContinualLearner {
     std::vector<int64_t> out;
     out.reserve(keys.size());
     std::vector<const float*>& rows = eval_rows_scratch_;
+    Tensor fresh;  // latents of off-pool keys, live for one chunk
     for (int64_t begin = 0; begin < total; begin += kEvalChunk) {
       const int64_t end = std::min(total, begin + kEvalChunk);
       rows.clear();
-      for (int64_t i = begin; i < end; ++i) {
-        rows.push_back(
-            env_.latents->latent(keys[static_cast<size_t>(i)]).data());
-      }
+      env_.latents->resolve(keys.subspan(static_cast<size_t>(begin),
+                                         static_cast<size_t>(end - begin)),
+                            rows, fresh);
       nn::GatherBatch gb;
       gb.rows = rows.data();
       gb.n = end - begin;

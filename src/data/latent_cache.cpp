@@ -7,84 +7,88 @@
 
 namespace cham::data {
 
-void LatentCache::touch(Entry& e) {
-  if (e.lru_it != lru_.begin()) {
-    lru_.splice(lru_.begin(), lru_, e.lru_it);
+bool LatentCache::in_pool(const ImageKey& key) const {
+  const int64_t instances =
+      key.test ? cfg_.test_instances : cfg_.train_instances;
+  return key.class_id >= 0 && key.class_id < cfg_.num_classes &&
+         key.domain_id >= 0 && key.domain_id < cfg_.num_domains &&
+         key.instance_id >= 0 && key.instance_id < instances;
+}
+
+void LatentCache::fill(std::span<const ImageKey> keys,
+                       std::span<const float*> rows, Tensor& scratch) {
+  int64_t n_miss = 0;
+  {
+    util::MutexLock lock(mu_);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      // Off-pool keys never hit: a wide field may alias a pool packed().
+      const auto it =
+          in_pool(keys[i]) ? cache_.find(keys[i].packed()) : cache_.end();
+      rows[i] = it == cache_.end() ? nullptr : it->second.data();
+      n_miss += rows[i] == nullptr;
+    }
+    lookups_ += static_cast<int64_t>(keys.size());
+    misses_ += n_miss;
+  }
+  if (n_miss == 0) return;
+  std::vector<size_t> miss;
+  std::vector<ImageKey> batch;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (rows[i] != nullptr) continue;
+    miss.push_back(i);
+    batch.push_back(keys[i]);
+  }
+  // The backbone runs with no lock held: eval forward() writes no member.
+  scratch = f_.forward(synthesize_batch(cfg_, batch), /*train=*/false);
+  const int64_t per = scratch.numel() / scratch.dim(0);
+  const Shape row_shape{{1, scratch.dim(1), scratch.dim(2), scratch.dim(3)}};
+  // Pool rows are copied out before locking: the critical section inserts.
+  std::vector<Tensor> fresh(miss.size());
+  for (size_t j = 0; j < miss.size(); ++j) {
+    rows[miss[j]] = scratch.data() + static_cast<int64_t>(j) * per;
+    if (in_pool(batch[j])) {
+      fresh[j] = Tensor(row_shape, std::span<const float>(
+                                       rows[miss[j]], static_cast<size_t>(per)));
+    }
+  }
+  util::MutexLock lock(mu_);
+  for (size_t j = 0; j < miss.size(); ++j) {
+    if (fresh[j].empty()) continue;  // off-pool: served from scratch only
+    // A bit-identical entry inserted first (racing thread, repeat key) wins.
+    rows[miss[j]] = cache_.try_emplace(batch[j].packed(), std::move(fresh[j]))
+                        .first->second.data();
   }
 }
 
-const Tensor& LatentCache::insert(uint64_t packed, Tensor z) {
-  if (max_entries_ > 0 &&
-      static_cast<int64_t>(cache_.size()) >= max_entries_) {
-    // Evict before inserting so the new entry never becomes the victim.
-    const uint64_t victim = lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);
-    ++evictions_;
-  }
-  lru_.push_front(packed);
-  auto [it, ok] = cache_.emplace(packed, Entry{std::move(z), lru_.begin()});
-  CHAM_DCHECK(ok, "LatentCache: duplicate insert");
-  return it->second.latent;
-}
-
-void LatentCache::check_owner() {
-  if (max_entries_ <= 0) return;
-  if (owner_ == std::thread::id{}) {
-    owner_ = std::this_thread::get_id();
-    return;
-  }
-  CHAM_CHECK(owner_ == std::this_thread::get_id(),
-             "LatentCache: bounded cache accessed from a second thread; "
-             "eviction invalidates references held by other threads, so "
-             "bounded caches are single-owner (use an unbounded cache for "
-             "multi-session serving)");
+void LatentCache::resolve(std::span<const ImageKey> keys,
+                          std::vector<const float*>& rows, Tensor& scratch) {
+  const size_t base = rows.size();
+  rows.resize(base + keys.size());
+  fill(keys, std::span<const float*>(rows).subspan(base), scratch);
 }
 
 const Tensor& LatentCache::latent(const ImageKey& key) {
+  CHAM_CHECK(in_pool(key),
+             "LatentCache::latent: off-pool keys are never stored, so they "
+             "have no lasting reference (use resolve())");
+  const float* row = nullptr;
+  Tensor scratch;
+  fill(std::span<const ImageKey>(&key, 1), std::span<const float*>(&row, 1),
+       scratch);
   util::MutexLock lock(mu_);
-  check_owner();
-  const uint64_t k = key.packed();
-  auto it = cache_.find(k);
-  if (it != cache_.end()) {
-    touch(it->second);
-    return it->second.latent;
-  }
-  // Miss path runs the backbone under the lock: concurrent misses would be
-  // numerically identical anyway (frozen f), but double-inserting the same
-  // key would break the LRU bookkeeping.
-  const Tensor img = synthesize_batch(cfg_, {key});
-  Tensor z = f_.forward(img, /*train=*/false);
-  return insert(k, std::move(z));
+  return cache_.find(key.packed())->second;
 }
 
-void LatentCache::warm(const std::vector<ImageKey>& keys, int64_t batch) {
-  util::MutexLock lock(mu_);
-  check_owner();
-  std::vector<ImageKey> missing;
+void LatentCache::warm(std::span<const ImageKey> keys, int64_t batch) {
   for (const ImageKey& key : keys) {
-    if (!cache_.contains(key.packed())) missing.push_back(key);
+    CHAM_CHECK(in_pool(key), "LatentCache::warm: key outside the pool");
   }
-  for (size_t start = 0; start < missing.size();
-       start += static_cast<size_t>(batch)) {
-    const size_t end =
-        std::min(missing.size(), start + static_cast<size_t>(batch));
-    std::vector<ImageKey> chunk(missing.begin() + static_cast<int64_t>(start),
-                                missing.begin() + static_cast<int64_t>(end));
-    const Tensor imgs = synthesize_batch(cfg_, chunk);
-    const Tensor z = f_.forward(imgs, /*train=*/false);
-    const int64_t per = z.numel() / z.dim(0);
-    const Shape row_shape{{1, z.dim(1), z.dim(2), z.dim(3)}};
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      // Single copy straight out of the batched forward (the old path
-      // zero-filled a tensor and then overwrote it — two passes over
-      // every latent during warm-up).
-      insert(chunk[i].packed(),
-             Tensor(row_shape,
-                    std::span<const float>(
-                        z.data() + static_cast<int64_t>(i) * per,
-                        static_cast<size_t>(per))));
-    }
+  std::vector<const float*> rows(keys.size());
+  Tensor scratch;
+  for (size_t at = 0; at < keys.size(); at += static_cast<size_t>(batch)) {
+    const size_t n = std::min(keys.size() - at, static_cast<size_t>(batch));
+    fill(keys.subspan(at, n), std::span<const float*>(rows).subspan(at, n),
+         scratch);
   }
 }
 

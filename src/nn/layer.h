@@ -50,7 +50,9 @@ class Layer {
   virtual ~Layer() = default;
 
   // x is NCHW (rank 4) or NxD (rank 2) depending on the layer.
-  // `train` selects batch-statistics / caching behaviour.
+  // `train` selects batch-statistics / caching behaviour. An eval forward
+  // writes no member, so threads may share a frozen network (not so an
+  // eval forward_gather, which reuses layer scratch).
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   // grad_out has the shape of the last forward output; returns gradient with

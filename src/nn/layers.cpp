@@ -543,10 +543,12 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
              "BatchNorm2d input " + x.shape().to_string());
   const int64_t batch = x.dim(0), hw = x.dim(2) * x.dim(3);
   const int64_t count = batch * hw;
-  cached_train_mode_ = train && track_stats_ && count > 1;
+  // Eval forward writes no member: threads share the frozen backbone.
+  const bool batch_stats = train && track_stats_ && count > 1;
+  if (train) cached_train_mode_ = batch_stats;
 
   Tensor mean({channels_}), var({channels_});
-  if (cached_train_mode_) {
+  if (batch_stats) {
     // Channels are independent; each chunk owns its channels' stats and
     // running-average slots.
     parallel_for(0, channels_, [&](int64_t c0, int64_t c1) {
@@ -580,12 +582,14 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   }
 
   Tensor out(x.shape());
-  cached_inv_std_ = Tensor({channels_});
-  if (train) cached_xhat_ = Tensor(x.shape());
+  if (train) {
+    cached_inv_std_ = Tensor({channels_});
+    cached_xhat_ = Tensor(x.shape());
+  }
   parallel_for(0, channels_, [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
       const float inv_std = 1.0f / std::sqrt(var[c] + eps_);
-      cached_inv_std_[c] = inv_std;
+      if (train) cached_inv_std_[c] = inv_std;
       const float g = gamma_.value[c], b = beta_.value[c], mu = mean[c];
       for (int64_t n = 0; n < batch; ++n) {
         const float* p = x.data() + (n * channels_ + c) * hw;

@@ -151,6 +151,9 @@ struct ServeStats {
     j.field("wb_compactions", wb_compactions);
     j.field("wb_queue_depth_high_water", wb_queue_depth_high_water);
     j.field("wb_cache_bytes_high_water", wb_cache_bytes_high_water);
+    j.field("wb_flush_ms_avg",
+            wb_flushes > 0 ? flush_ms_total / static_cast<double>(wb_flushes)
+                           : 0.0);
     j.field("flush_ms_max", flush_ms_max);
     return j.str();
   }

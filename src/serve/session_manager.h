@@ -38,8 +38,8 @@
 //                   tensor pool to 1 thread for its lifetime (shard-level
 //                   parallelism replaces intra-op parallelism; kernels are
 //                   bit-identical at any thread count, so per-session
-//                   results do not change). The shared LatentCache must be
-//                   unbounded (see data/latent_cache.h).
+//                   results do not change). Shard workers share the
+//                   thread-safe LatentCache (see data/latent_cache.h).
 //
 // Hierarchy mapping (DESIGN.md "Serving runtime"): resident learners are
 // the on-chip tier (fast, capacity-bounded), the SessionStore the off-chip

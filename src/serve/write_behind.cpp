@@ -92,7 +92,7 @@ std::shared_ptr<const core::ByteBuf> WriteBehind::newest_blob(
   }
   if (auto it = meta_.find(session_id);
       it != meta_.end() && it->second.latest) {
-    it->second.lru_tick = ++lru_tick_;
+    it->second.use_tick = ++use_tick_;
     return it->second.latest;
   }
   return nullptr;
@@ -198,7 +198,7 @@ void WriteBehind::flush_one(Snapshot snap) {
   {
     util::MutexLock lock(mu_);
     Meta& m = meta_[id];
-    m.lru_tick = ++lru_tick_;
+    m.use_tick = ++use_tick_;
     m.latest = snap.blob;
     m.durable = disk_ok;
     if (disk_ok) {
@@ -249,10 +249,10 @@ void WriteBehind::enforce_cache_budget_locked() {
       std::max(stats_.cache_bytes_high_water, bytes);
   if (bytes <= cfg_.snapshot_cache_bytes) return;
 
-  std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
+  std::vector<std::pair<uint64_t, uint64_t>> order;  // (use_tick, id)
   order.reserve(meta_.size());
   for (const auto& [id, m] : meta_) {
-    if (m.latest) order.emplace_back(m.lru_tick, id);
+    if (m.latest) order.emplace_back(m.use_tick, id);
   }
   std::sort(order.begin(), order.end());
   for (const auto& [tick, id] : order) {

@@ -146,7 +146,7 @@ class WriteBehind {
     std::vector<data::ServeOp> ops_since_base;
     bool ops_valid = true;
     int64_t deltas_since_full = 0;
-    uint64_t lru_tick = 0;
+    uint64_t use_tick = 0;  // last-use order for the cache budget
   };
 
   void io_loop() CHAM_EXCLUDES(io_mu_, mu_);
@@ -172,7 +172,7 @@ class WriteBehind {
       inflight_ CHAM_GUARDED_BY(mu_);  // blob currently being written
   std::unordered_map<uint64_t, Meta> meta_ CHAM_GUARDED_BY(mu_);
   WriteBehindStats stats_ CHAM_GUARDED_BY(mu_);
-  uint64_t lru_tick_ CHAM_GUARDED_BY(mu_) = 0;
+  uint64_t use_tick_ CHAM_GUARDED_BY(mu_) = 0;
   bool paused_ CHAM_GUARDED_BY(mu_) = false;
   bool stop_ CHAM_GUARDED_BY(mu_) = false;
 

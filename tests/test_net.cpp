@@ -193,11 +193,14 @@ TEST(NetJson, ServeStatsEmitsParseableObject) {
   st.rejections = 2;
   st.retry_hint_ms_sum = 14.0;
   st.retry_hint_ms_max = 9.5;
+  st.wb_flushes = 4;
+  st.flush_ms_total = 10.0;
   std::map<std::string, std::string> fields;
   ASSERT_TRUE(json_fields(st.to_json(), fields)) << st.to_json();
   EXPECT_EQ(fields["submitted"], "11");
   EXPECT_EQ(fields["retry_hint_ms_avg"], "7.0000");
   EXPECT_EQ(fields["retry_hint_ms_max"], "9.5000");
+  EXPECT_EQ(fields["wb_flush_ms_avg"], "2.5000");
   // Spot keys from each section of the emission.
   for (const char* key : {"admissions", "predict_batches", "evictions",
                           "wb_flushes", "flush_ms_max"}) {

@@ -433,40 +433,6 @@ TEST_F(ServeSuite, SessionStoreLifecycle) {
   EXPECT_EQ(store.size(), 0);
 }
 
-// Satellite: bounded LatentCache is single-owner — access from a second
-// thread trips the contract instead of silently racing the LRU list.
-TEST_F(ServeSuite, BoundedLatentCacheRejectsSecondThread) {
-  data::LatentCache bounded(exp_->config().data, exp_->backbone(),
-                            /*max_entries=*/4);
-  const auto batches = session_batches(0);
-  (void)bounded.latent(batches[0].keys[0]);  // this thread becomes the owner
-
-  bool threw = false;
-  std::thread second([&] {
-    try {
-      (void)bounded.latent(batches[0].keys[1]);
-    } catch (const util::CheckError&) {
-      threw = true;
-    }
-  });
-  second.join();
-  EXPECT_TRUE(threw);
-
-  // Unbounded caches are shared freely (the serving default).
-  data::LatentCache unbounded(exp_->config().data, exp_->backbone());
-  (void)unbounded.latent(batches[0].keys[0]);
-  bool second_ok = true;
-  std::thread third([&] {
-    try {
-      (void)unbounded.latent(batches[0].keys[1]);
-    } catch (...) {
-      second_ok = false;
-    }
-  });
-  third.join();
-  EXPECT_TRUE(second_ok);
-}
-
 // The Zipf schedule helper: deterministic in the seed, skewed toward low
 // ranks, and per-session batch indices count up densely.
 TEST_F(ServeSuite, ZipfScheduleShape) {

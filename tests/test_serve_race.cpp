@@ -31,6 +31,17 @@
 //       disconnects with it still in flight — racing accept, responder
 //       spawn/reap, outbox flow control (shrunken SO_SNDBUF forces partial
 //       writes) and the dead-connection cleanup, then a graceful stop().
+//   ServeRaceSuite.ConcurrentEvalForwardsMatchSerial
+//       Regression: BatchNorm2d's eval forward used to write its cached
+//       inv-std tensor and train-mode flag, so two shards running latent
+//       misses through the shared frozen backbone raced on them. Two
+//       threads run eval forwards through one backbone; every output must
+//       be bit-identical to the serial result.
+//   ServeRaceSuite.ConcurrentResolveInsertsEachPoolKeyOnce
+//       LatentCache::resolve runs misses with no lock held: threads resolving
+//       overlapping pool and off-pool keys at once must leave exactly one
+//       entry per pool key, every pool row pointing at it, and off-pool rows
+//       bit-identical to a serial resolve.
 //   WorkspaceRace.StatsPolledDuringOwnerAllocation
 //       Regression for the PR 7 audit finding: ws::stats() used to walk
 //       every arena's chunk vector cross-thread while owner threads were
@@ -42,7 +53,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -589,6 +602,128 @@ TEST_F(ServeRaceSuite, NetMultiConnectionStress) {
   EXPECT_EQ(ns.err_bad_crc, 0);
   EXPECT_EQ(ns.err_dispatch, 0);
   EXPECT_GT(s.evictions, 0) << "stress never evicted; raise the load";
+}
+
+// Inputs of several batch sizes over the suite's pool and beyond it.
+std::vector<std::vector<data::ImageKey>> race_key_sets() {
+  std::vector<std::vector<data::ImageKey>> sets;
+  for (int32_t n : {1, 3, 7, 10}) {
+    std::vector<data::ImageKey> keys;
+    for (int32_t i = 0; i < n; ++i) {
+      keys.push_back({(n + i) % 6, i % 2, (i % 2) ? i % 5 : 100 + n * 10 + i,
+                      false});
+    }
+    sets.push_back(std::move(keys));
+  }
+  return sets;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST_F(ServeRaceSuite, ConcurrentEvalForwardsMatchSerial) {
+  nn::Sequential& f = exp_->backbone();
+  const data::DatasetConfig& dc = exp_->config().data;
+  std::vector<Tensor> images, serial;
+  for (const auto& keys : race_key_sets()) {
+    images.push_back(data::synthesize_batch(dc, keys));
+    serial.push_back(f.forward(images.back(), /*train=*/false));
+  }
+  std::atomic<bool> go{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int rep = 0; rep < 4; ++rep) {
+        for (size_t i = 0; i < images.size(); ++i) {
+          const size_t k = (i + static_cast<size_t>(t)) % images.size();
+          if (!same_bits(f.forward(images[k], /*train=*/false), serial[k])) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ServeRaceSuite, ConcurrentResolveInsertsEachPoolKeyOnce) {
+  const data::DatasetConfig& dc = exp_->config().data;
+  const auto sets = race_key_sets();
+  // Serial reference rows, from a cache of their own.
+  std::vector<std::vector<Tensor>> ref;
+  {
+    data::LatentCache serial(dc, exp_->backbone());
+    for (const auto& keys : sets) {
+      std::vector<const float*> rows;
+      Tensor scratch;
+      serial.resolve(keys, rows, scratch);
+      const int64_t per = exp_->latent_shape().numel();
+      std::vector<Tensor> out;
+      for (const float* r : rows) {
+        out.emplace_back(Shape{{per}},
+                         std::span<const float>(r, static_cast<size_t>(per)));
+      }
+      ref.push_back(std::move(out));
+    }
+  }
+  for (int round = 0; round < 3; ++round) {
+    data::LatentCache cache(dc, exp_->backbone());
+    constexpr int kThreads = 3;
+    std::vector<std::vector<std::vector<const float*>>> got(kThreads);
+    std::atomic<bool> go{false};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (size_t i = 0; i < sets.size(); ++i) {
+          const size_t k = (i + static_cast<size_t>(t)) % sets.size();
+          std::vector<const float*> rows;
+          Tensor scratch;  // keeps this call's off-pool rows alive
+          cache.resolve(sets[k], rows, scratch);
+          for (size_t j = 0; j < rows.size(); ++j) {
+            const Tensor& want = ref[k][j];
+            if (std::memcmp(rows[j], want.data(),
+                            static_cast<size_t>(want.numel()) *
+                                sizeof(float)) != 0) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+            if (!cache.in_pool(sets[k][j])) rows[j] = nullptr;
+          }
+          got[static_cast<size_t>(t)].push_back(std::move(rows));
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0);
+
+    // One entry per distinct pool key, and every pool row points at it.
+    std::set<uint64_t> pool_keys;
+    for (const auto& keys : sets) {
+      for (const auto& key : keys) {
+        if (cache.in_pool(key)) pool_keys.insert(key.packed());
+      }
+    }
+    EXPECT_EQ(cache.size(), static_cast<int64_t>(pool_keys.size()));
+    for (int t = 0; t < kThreads; ++t) {
+      for (size_t i = 0; i < sets.size(); ++i) {
+        const size_t k = (i + static_cast<size_t>(t)) % sets.size();
+        const auto& rows = got[static_cast<size_t>(t)][i];
+        for (size_t j = 0; j < rows.size(); ++j) {
+          if (rows[j] == nullptr) continue;
+          EXPECT_EQ(rows[j], cache.latent(sets[k][j]).data());
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkspaceRace, StatsPolledDuringOwnerAllocation) {

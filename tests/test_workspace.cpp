@@ -1,20 +1,23 @@
 // Workspace memory subsystem: arena alignment / rewind / high-water
-// accounting, pool freelist recycling and reset semantics, the bounded
-// LatentCache's LRU eviction, and the end-to-end property the subsystem
-// exists for — a steady-state ChameleonLearner::observe() that performs
-// zero heap allocations (verified with a counting global operator new).
+// accounting, pool freelist recycling and reset semantics, the pool-bounded
+// LatentCache's batched resolve path, and the end-to-end property the
+// subsystem exists for — a steady-state ChameleonLearner::observe() that
+// performs zero heap allocations (verified with a counting global operator
+// new).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 
 #include "core/chameleon.h"
 #include "data/latent_cache.h"
 #include "nn/layers.h"
+#include "nn/mobilenet.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
@@ -173,7 +176,7 @@ TEST(Pool, ResetStatsRebasesCounters) {
   EXPECT_GT(s.pool_bytes_in_use, 0);
 }
 
-// ------------------------------------------------------- LatentCache LRU
+// ------------------------------------------------------------ LatentCache
 
 struct TinyEnv {
   data::DatasetConfig data_cfg;
@@ -181,7 +184,7 @@ struct TinyEnv {
   std::unique_ptr<data::LatentCache> latents;
   core::LearnerEnv env;
 
-  explicit TinyEnv(int64_t max_cache_entries = 0) {
+  TinyEnv() {
     data_cfg = data::core50_config();
     data_cfg.num_classes = 6;
     data_cfg.num_domains = 3;
@@ -192,8 +195,7 @@ struct TinyEnv {
     f = std::make_unique<nn::Sequential>();
     f->add(std::make_unique<nn::Conv2d>(3, 4, 8, 8, 3, 2, 1, false, rng));
     f->add(std::make_unique<nn::ReLU>());
-    latents = std::make_unique<data::LatentCache>(data_cfg, *f,
-                                                  max_cache_entries);
+    latents = std::make_unique<data::LatentCache>(data_cfg, *f);
 
     env.data_cfg = &data_cfg;
     env.latents = latents.get();
@@ -214,53 +216,138 @@ struct TinyEnv {
   }
 };
 
-TEST(LatentCacheLru, UnboundedCacheNeverEvicts) {
-  TinyEnv env;  // max_entries = 0
-  for (int32_t i = 0; i < 6; ++i) (void)env.latents->latent({i, 0, 0, false});
-  EXPECT_EQ(env.latents->size(), 6);
-  EXPECT_EQ(env.latents->evictions(), 0);
+// The serving backbone's shape: MobileNetV1 (alpha 0.5, 32x32) split at
+// conv layer 21 — conv, depthwise, merged-batch pointwise and BN layers —
+// with random weights, over a 6-class, 2-domain pool.
+struct MobileEnv {
+  data::DatasetConfig data_cfg;
+  nn::SplitModel split;
+  std::unique_ptr<data::LatentCache> latents;
+
+  MobileEnv() {
+    data_cfg = data::core50_config();
+    data_cfg.num_classes = 6;
+    data_cfg.num_domains = 2;
+    data_cfg.train_instances = 5;
+    data_cfg.test_instances = 2;
+    nn::MobileNetConfig mc;
+    mc.num_classes = 6;
+    Rng rng(5);
+    split = nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng),
+                                    mc.latent_conv_layer);
+    latents = std::make_unique<data::LatentCache>(data_cfg, *split.f);
+  }
+
+  // The key's latent from a batch-1 forward of its own.
+  Tensor single(const data::ImageKey& key) {
+    return split.f->forward(data::synthesize_batch(data_cfg, {key}),
+                            /*train=*/false);
+  }
+};
+
+TEST(LatentCache, ResolveMatchesPerKeyBatchOneForwards) {
+  MobileEnv env;
+  const data::ImageKey hit{1, 0, 2, false};
+  const data::ImageKey miss{2, 1, 4, false};
+  const data::ImageKey test_miss{3, 1, 1, true};
+  const data::ImageKey off_instance{2, 1, 5, false};
+  const data::ImageKey off_test{3, 1, 2, true};
+  const data::ImageKey off_class{6, 0, 0, false};
+  const data::ImageKey off_domain{0, 2, 0, false};
+  (void)env.latents->latent(hit);
+  ASSERT_EQ(env.latents->size(), 1);
+
+  // Hits, pool misses (one repeated) and off-pool keys (one repeated),
+  // appended after a row the caller already holds.
+  const std::vector<data::ImageKey> keys = {
+      off_instance, hit,      miss,       off_class,   test_miss,
+      miss,         off_test, off_domain, off_instance};
+  const float sentinel = 0.0f;
+  std::vector<const float*> rows = {&sentinel};
+  Tensor scratch;
+  env.latents->resolve(keys, rows, scratch);
+  ASSERT_EQ(rows.size(), keys.size() + 1);
+  EXPECT_EQ(rows[0], &sentinel);
+  EXPECT_EQ(env.latents->size(), 3);  // hit + the two distinct pool misses
+
+  const int64_t per = env.split.latent_dim;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Tensor ref = env.single(keys[i]);
+    ASSERT_EQ(ref.numel(), per);
+    EXPECT_EQ(std::memcmp(rows[i + 1], ref.data(),
+                          static_cast<size_t>(per) * sizeof(float)),
+              0)
+        << "row " << i << " differs from its batch-1 forward";
+    if (env.latents->in_pool(keys[i])) {
+      // Pool rows are the cache's own entries, not scratch copies.
+      EXPECT_EQ(rows[i + 1], env.latents->latent(keys[i]).data()) << i;
+    }
+  }
 }
 
-TEST(LatentCacheLru, EvictsLeastRecentlyUsedAtCapacity) {
-  TinyEnv env(/*max_cache_entries=*/4);
-  for (int32_t i = 0; i < 4; ++i) (void)env.latents->latent({i, 0, 0, false});
-  EXPECT_EQ(env.latents->size(), 4);
-
-  // Touch key 0 so key 1 becomes the LRU victim.
-  (void)env.latents->latent({0, 0, 0, false});
-  (void)env.latents->latent({4, 0, 0, false});  // evicts key 1
-  EXPECT_EQ(env.latents->size(), 4);
-  EXPECT_EQ(env.latents->evictions(), 1);
-
-  // Key 0 must still be cached: requesting all keys but 1 causes no
-  // further eviction-triggering misses.
-  const int64_t ev = env.latents->evictions();
-  (void)env.latents->latent({0, 0, 0, false});
-  (void)env.latents->latent({4, 0, 0, false});
-  EXPECT_EQ(env.latents->evictions(), ev);
+TEST(LatentCache, OffPoolKeysNeverGrowTheCache) {
+  MobileEnv env;
+  std::vector<data::ImageKey> fresh;
+  for (int32_t i = 0; i < 12; ++i) {
+    fresh.push_back({i % 6, i % 2, 1000 + i, (i % 3) == 0});
+  }
+  std::vector<const float*> rows;
+  Tensor scratch;
+  for (int rep = 0; rep < 3; ++rep) {
+    rows.clear();
+    env.latents->resolve(fresh, rows, scratch);
+    EXPECT_EQ(rows.size(), fresh.size());
+  }
+  EXPECT_EQ(env.latents->size(), 0);
+  // An instance wide enough to alias a cached pool key's packed() value
+  // still gets its own latent.
+  const data::ImageKey pool_key{1, 1, 0, false};
+  const data::ImageKey alias{1, 0, 1 << 23, false};
+  ASSERT_EQ(alias.packed(), pool_key.packed());
+  (void)env.latents->latent(pool_key);
+  rows.clear();
+  env.latents->resolve(std::vector<data::ImageKey>{alias}, rows, scratch);
+  EXPECT_EQ(ops::max_abs_diff(scratch, env.single(alias)), 0.0);
+  EXPECT_NE(rows[0], env.latents->latent(pool_key).data());
+  EXPECT_EQ(env.latents->size(), 1);
+  // No lasting reference exists for an off-pool key.
+  EXPECT_THROW((void)env.latents->latent(fresh[0]), util::CheckError);
+  EXPECT_THROW(env.latents->warm(fresh), util::CheckError);
+  EXPECT_EQ(env.latents->size(), 1);
 }
 
-TEST(LatentCacheLru, RecomputedLatentIsIdenticalAfterEviction) {
-  TinyEnv bounded(/*max_cache_entries=*/2);
-  TinyEnv unbounded;
-  const data::ImageKey k0 = TinyEnv::key(0, 0);
-  const Tensor first = bounded.latents->latent(k0);  // copy before eviction
-  (void)bounded.latents->latent(TinyEnv::key(1, 0));
-  (void)bounded.latents->latent(TinyEnv::key(2, 0));  // evicts k0
-  EXPECT_GE(bounded.latents->evictions(), 1);
-  const Tensor& recomputed = bounded.latents->latent(k0);  // miss -> forward
-  EXPECT_EQ(ops::max_abs_diff(first, recomputed), 0.0);
-  EXPECT_EQ(ops::max_abs_diff(unbounded.latents->latent(k0), recomputed),
-            0.0);
-}
-
-TEST(LatentCacheLru, WarmRespectsTheBound) {
-  TinyEnv env(/*max_cache_entries=*/3);
-  std::vector<data::ImageKey> keys;
-  for (int32_t i = 0; i < 6; ++i) keys.push_back(TinyEnv::key(i, 0));
-  env.latents->warm(keys, /*batch=*/2);
+TEST(LatentCache, CountsLookupsAndMisses) {
+  TinyEnv env;
+  const std::vector<data::ImageKey> keys = {
+      TinyEnv::key(0, 0), TinyEnv::key(1, 0), TinyEnv::key(0, 0),
+      TinyEnv::key(2, 9)};  // the last is off-pool (instance >= 4)
+  std::vector<const float*> rows;
+  Tensor scratch;
+  env.latents->resolve(keys, rows, scratch);
+  EXPECT_EQ(env.latents->lookups(), 4);
+  EXPECT_EQ(env.latents->misses(), 4);  // nothing was cached yet
+  rows.clear();
+  env.latents->resolve(keys, rows, scratch);
+  EXPECT_EQ(env.latents->lookups(), 8);
+  EXPECT_EQ(env.latents->misses(), 5);  // only the off-pool key recomputes
+  (void)env.latents->latent(TinyEnv::key(1, 0));
+  env.latents->warm(std::vector<data::ImageKey>{TinyEnv::key(3, 1),
+                                                TinyEnv::key(0, 0)});
+  EXPECT_EQ(env.latents->lookups(), 11);
+  EXPECT_EQ(env.latents->misses(), 6);
   EXPECT_EQ(env.latents->size(), 3);
-  EXPECT_EQ(env.latents->evictions(), 3);
+}
+
+TEST(LatentCache, WarmBatchesMatchSingleForwards) {
+  MobileEnv env;
+  std::vector<data::ImageKey> keys;
+  for (int32_t c = 0; c < 6; ++c) keys.push_back({c, 1, c % 5, false});
+  env.latents->warm(keys, /*batch=*/4);
+  EXPECT_EQ(env.latents->size(), 6);
+  EXPECT_EQ(env.latents->misses(), 6);
+  for (const data::ImageKey& k : keys) {
+    EXPECT_EQ(ops::max_abs_diff(env.latents->latent(k), env.single(k)), 0.0);
+  }
 }
 
 // ------------------------------------------- steady-state zero allocation
@@ -347,6 +434,32 @@ TEST(SteadyState, ChunkedPredictStaysOffTheHeap) {
   }
   // The returned vector<int64_t> is the only permitted allocation.
   EXPECT_LE(worst, 1) << "chunked predict allocated beyond its result";
+#endif
+}
+
+// The cache side of the same property: resolving keys that are all cached
+// takes the lock, looks up and appends row pointers — no allocation.
+TEST(SteadyState, AllHitResolveAllocatesNothing) {
+#if CHAM_CHECKS_LEVEL >= 2
+  GTEST_SKIP() << "full-checks tier audits allocate inside the layers";
+#else
+  TinyEnv env;
+  std::vector<data::ImageKey> keys;
+  for (int32_t i = 0; i < 16; ++i) keys.push_back(TinyEnv::key(i % 6, i % 4));
+  env.latents->warm(keys);
+  std::vector<const float*> rows;
+  rows.reserve(keys.size());
+  Tensor scratch;
+  const int64_t misses = env.latents->misses();
+  const long long before = g_allocs.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 10; ++rep) {
+    rows.clear();
+    env.latents->resolve(keys, rows, scratch);
+  }
+  const long long d = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(d, 0) << "all-hit resolve() touched the heap";
+  EXPECT_EQ(env.latents->misses(), misses);
+  EXPECT_TRUE(scratch.empty());
 #endif
 }
 
